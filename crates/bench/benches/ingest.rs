@@ -19,13 +19,12 @@
 use bytebrain::incremental::DriftConfig;
 use bytebrain::matcher::{match_record, match_record_with_scratch, match_view};
 use bytebrain::train::train;
-use bytebrain::{CompiledMatcher, DfaEncoding, MatchCache, MatchEngine, ParserModel, TrainConfig};
+use bytebrain::{CompiledMatcher, MatchCache, MatchEngine, ParserModel, Query, TrainConfig};
 use criterion::{BatchSize, Criterion, Throughput};
 use datasets::LabeledDataset;
 use logtok::{Preprocessor, TokenScratch};
 use service::{
-    IngestConfig, LogTopic, MaintenancePolicy, QueryEngine, QueryOptions, StreamIngestor,
-    TopicConfig,
+    IngestConfig, LogTopic, MaintenancePolicy, QueryEngine, StreamIngestor, TopicConfig,
 };
 use std::sync::Arc;
 
@@ -277,6 +276,16 @@ fn bench_query_paths(c: &mut Criterion) {
     assert_eq!(topic.records().len() - warmup, QUERY_RECORDS);
 
     let thresholds: Vec<f64> = (0..10).map(|i| 0.05 + i as f64 * 0.1).collect();
+    let plans: Vec<_> = thresholds
+        .iter()
+        .map(|&t| {
+            Query::group_by()
+                .at_threshold(t)
+                .plan()
+                .expect("valid plan")
+        })
+        .collect();
+    let group_count = |value: service::QueryValue| value.groups().expect("groups plan").len();
     let mut group = c.benchmark_group("query");
     // Each iteration answers one full slider sweep (10 queries).
     group.throughput(Throughput::Elements(thresholds.len() as u64));
@@ -286,13 +295,8 @@ fn bench_query_paths(c: &mut Criterion) {
         let engine = QueryEngine::new(&topic);
         b.iter(|| {
             let mut total_groups = 0usize;
-            for &threshold in &thresholds {
-                total_groups += engine
-                    .group_by_template_scan(QueryOptions {
-                        saturation_threshold: threshold,
-                        limit: usize::MAX,
-                    })
-                    .len();
+            for plan in &plans {
+                total_groups += group_count(engine.execute_scan(plan));
             }
             total_groups
         })
@@ -303,13 +307,8 @@ fn bench_query_paths(c: &mut Criterion) {
         let snapshot = topic.query_snapshot();
         b.iter(|| {
             let mut total_groups = 0usize;
-            for &threshold in &thresholds {
-                total_groups += snapshot
-                    .group_by_template(QueryOptions {
-                        saturation_threshold: threshold,
-                        limit: usize::MAX,
-                    })
-                    .len();
+            for plan in &plans {
+                total_groups += group_count(snapshot.execute(plan).expect("node-only plan"));
             }
             total_groups
         })
@@ -318,13 +317,8 @@ fn bench_query_paths(c: &mut Criterion) {
     group.bench_function("indexed_cached_100k", |b| {
         b.iter(|| {
             let mut total_groups = 0usize;
-            for &threshold in &thresholds {
-                total_groups += topic
-                    .query(QueryOptions {
-                        saturation_threshold: threshold,
-                        limit: usize::MAX,
-                    })
-                    .len();
+            for plan in &plans {
+                total_groups += group_count(topic.execute(plan));
             }
             total_groups
         })
@@ -352,9 +346,8 @@ fn repetitive_stream(n: usize, distinct: usize) -> Vec<String> {
 
 /// The match-engine comparison behind `BENCH_ingest.json`: the same stream
 /// through (a) the tree walker, (b) the compiled automaton cold (every line
-/// preprocessed + matched through the DFA) under each state encoding — sparse
-/// binary-search edges, fully dense rows, and the shipping hybrid — and (c)
-/// the automaton behind a warm per-worker line cache. Rows are records/s; the
+/// preprocessed + matched through the DFA), and (c) the automaton behind a
+/// warm per-worker line cache. Rows are records/s; the
 /// differential suite proves every engine produces byte-identical assignments,
 /// so the rates are directly comparable.
 fn bench_ingest_engines(c: &mut Criterion) {
@@ -389,34 +382,20 @@ fn bench_ingest_engines(c: &mut Criterion) {
         })
     });
 
-    // Cold path per encoding: `automaton` is the shipping hybrid; the sparse
-    // and dense rows bracket it (pure binary-search edges vs a dense row for
-    // every state).
-    for (name, engine) in [
-        ("automaton", &compiled),
-        (
-            "automaton_sparse",
-            &CompiledMatcher::compile_with_encoding(&model, DfaEncoding::Sparse),
-        ),
-        (
-            "automaton_dense",
-            &CompiledMatcher::compile_with_encoding(&model, DfaEncoding::Dense),
-        ),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut scratch = TokenScratch::new();
-                let mut matched = 0usize;
-                for record in &stream {
-                    let view = preprocessor.token_view(record, &mut scratch);
-                    if engine.match_view(&view).is_some() {
-                        matched += 1;
-                    }
+    // Cold path: every line preprocessed and matched through the DFA.
+    group.bench_function("automaton", |b| {
+        b.iter(|| {
+            let mut scratch = TokenScratch::new();
+            let mut matched = 0usize;
+            for record in &stream {
+                let view = preprocessor.token_view(record, &mut scratch);
+                if compiled.match_view(&view).is_some() {
+                    matched += 1;
                 }
-                matched
-            })
-        });
-    }
+            }
+            matched
+        })
+    });
 
     {
         let mut cache = MatchCache::default();

@@ -5,10 +5,9 @@
 //! CI step — when a file is missing, is not valid JSON, or lacks its required
 //! rows with positive `records_per_sec` rates. Per-artifact requirements:
 //!
-//! - `BENCH_ingest.json`: `ingest_engines` rows `tree_walk`, `automaton`
-//!   (hybrid encoding), `automaton_sparse`, `automaton_dense`,
+//! - `BENCH_ingest.json`: `ingest_engines` rows `tree_walk`, `automaton`,
 //!   `automaton_cached`, `stream_tree_walk` and `stream_automaton`; on a full
-//!   run the cold hybrid `automaton` row must clear 400k records/s and the
+//!   run the cold `automaton` row must clear 400k records/s and the
 //!   end-to-end `stream_automaton` row 1.5M records/s — the compiled match
 //!   path must stay decisively ahead of the tree walk, cold and streamed.
 //! - `BENCH_storage.json`: `storage` rows `wal_append`, `segment_flush`,
@@ -29,8 +28,8 @@ use std::process::ExitCode;
 /// Throughput floor for the durable tier's full-run flush/replay rows.
 const STORAGE_FLOOR_RPS: f64 = 200_000.0;
 
-/// Full-run floor for the cold compiled-automaton row (hybrid encoding,
-/// every line masked + tokenized + matched, no line cache).
+/// Full-run floor for the cold compiled-automaton row (every line masked +
+/// tokenized + matched, no line cache).
 const COLD_AUTOMATON_FLOOR_RPS: f64 = 400_000.0;
 
 /// Full-run floor for the end-to-end streaming engine under the automaton
@@ -87,8 +86,6 @@ fn check_artifact(path: &str) -> bool {
         "ingest" => &[
             ("ingest_engines", "tree_walk", 0.0),
             ("ingest_engines", "automaton", COLD_AUTOMATON_FLOOR_RPS),
-            ("ingest_engines", "automaton_sparse", 0.0),
-            ("ingest_engines", "automaton_dense", 0.0),
             ("ingest_engines", "automaton_cached", 0.0),
             ("ingest_engines", "stream_tree_walk", 0.0),
             (

@@ -5,10 +5,10 @@
 //! on a 100k-record topic.
 
 use bench::{eval_bytebrain, loghub2_scale, maybe_write};
-use bytebrain::TrainConfig;
+use bytebrain::{Query, QueryPlan, TrainConfig};
 use datasets::LabeledDataset;
 use eval::report::{fmt2, ExperimentRecord, TextTable};
-use service::{LogTopic, QueryEngine, QueryOptions, TopicConfig};
+use service::{LogTopic, QueryEngine, QueryValue, TopicConfig};
 use std::time::Instant;
 
 fn main() {
@@ -75,14 +75,18 @@ fn query_latency_sweep(thresholds: &[f64], record: &mut ExperimentRecord) {
 
     let engine = QueryEngine::new(&topic);
     let snapshot = topic.query_snapshot();
-    let options = |threshold: f64| QueryOptions {
-        saturation_threshold: threshold,
-        limit: usize::MAX,
+    let plan = |threshold: f64| -> QueryPlan {
+        Query::group_by()
+            .at_threshold(threshold)
+            .plan()
+            .expect("predicate-free queries always plan")
     };
+    let group_count = |value: QueryValue| value.groups().expect("groups plan").len();
+    let indexed = |t: f64| snapshot.execute(&plan(t)).expect("node-only plan");
     // One untimed warm-up sweep per path so allocators and caches settle equally.
     for &t in thresholds {
-        engine.group_by_template_scan(options(t));
-        snapshot.group_by_template(options(t));
+        engine.execute_scan(&plan(t));
+        indexed(t);
     }
     let timed = |f: &dyn Fn(f64) -> usize| -> (f64, usize) {
         let started = Instant::now();
@@ -92,8 +96,8 @@ fn query_latency_sweep(thresholds: &[f64], record: &mut ExperimentRecord) {
         }
         (started.elapsed().as_secs_f64() * 1_000.0, groups)
     };
-    let (scan_ms, scan_groups) = timed(&|t| engine.group_by_template_scan(options(t)).len());
-    let (indexed_ms, indexed_groups) = timed(&|t| snapshot.group_by_template(options(t)).len());
+    let (scan_ms, scan_groups) = timed(&|t| group_count(engine.execute_scan(&plan(t))));
+    let (indexed_ms, indexed_groups) = timed(&|t| group_count(indexed(t)));
     assert_eq!(
         scan_groups, indexed_groups,
         "paths must agree on the group count"

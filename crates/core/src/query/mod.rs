@@ -45,11 +45,9 @@ pub const DEFAULT_THRESHOLD: f64 = 0.9;
 
 /// Sanitize a user-supplied saturation threshold: NaN becomes [`DEFAULT_THRESHOLD`],
 /// finite values are clamped to `[0, 1]`. Every query entry point funnels through this
-/// single function, so silent nonsense thresholds cannot reach resolution. Core
-/// resolution honours the exact threshold it is given; the service's query surface
-/// additionally snaps thresholds to its slider grid (see `service::QueryOptions`) so
-/// its cache key always describes exactly the threshold a cached result was computed
-/// at.
+/// single function, so silent nonsense thresholds cannot reach resolution. The service
+/// applies it once, when a plan is built ([`plan::QueryPlan::from_query`]), and keys
+/// its cache on the exact clamped value.
 pub fn clamp_threshold(threshold: f64) -> f64 {
     if threshold.is_nan() {
         DEFAULT_THRESHOLD

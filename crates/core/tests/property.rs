@@ -425,16 +425,15 @@ fn patched_automaton_equals_scratch_compile_after_random_deltas() {
     }
 }
 
-/// Every DFA encoding — sparse binary-search edges, fully dense rows, and the
-/// hybrid (dense rows for hot states only) — produces **byte-identical**
-/// assignments to the tree walk, and to each other, across random
-/// delta/retire/temporary sequences with mid-stream hot-swaps. The hashed
-/// match cache, probed across snapshot swaps, must agree with every engine.
+/// The compiled automaton produces **byte-identical** assignments to the tree
+/// walk across random delta/retire/temporary sequences with mid-stream
+/// hot-swaps. The hashed match cache, probed across snapshot swaps, must agree
+/// with the tree walk too.
 #[test]
-fn dense_sparse_hybrid_encodings_are_byte_identical() {
+fn refreshed_automaton_and_cache_match_tree_walk_across_swaps() {
     use bytebrain::incremental::{apply_delta, train_delta};
     use bytebrain::matcher::match_tokens;
-    use bytebrain::{CompiledMatcher, DfaEncoding, MatchCache, NodeId};
+    use bytebrain::{CompiledMatcher, MatchCache, NodeId};
     use logtok::{Preprocessor, TokenScratch};
 
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xDE2E_0002);
@@ -447,27 +446,10 @@ fn dense_sparse_hybrid_encodings_are_byte_identical() {
             .map(|_| family_record(&mut rng, 0))
             .collect();
         let mut model = train(&warm, &config).model;
-        let mut engines = [
-            (
-                "sparse",
-                CompiledMatcher::compile_with_encoding(&model, DfaEncoding::Sparse),
-            ),
-            (
-                "dense",
-                CompiledMatcher::compile_with_encoding(&model, DfaEncoding::Dense),
-            ),
-            (
-                "hybrid",
-                CompiledMatcher::compile_with_encoding(&model, DfaEncoding::Hybrid),
-            ),
-        ];
-        // One cache per engine, kept *across* hot-swaps: generation
-        // invalidation (not staleness) must keep hits equal to misses.
-        let mut caches = [
-            MatchCache::new(64),
-            MatchCache::new(64),
-            MatchCache::new(64),
-        ];
+        let mut engine = CompiledMatcher::compile(&model);
+        // One cache, kept *across* hot-swaps: generation invalidation (not
+        // staleness) must keep it agreeing with the tree walk.
+        let mut cache = MatchCache::new(64);
 
         for step in 0..8 {
             match rng.gen_range(0..4u32) {
@@ -506,23 +488,9 @@ fn dense_sparse_hybrid_encodings_are_byte_identical() {
                 }
             }
 
-            // Mid-stream hot-swap: every engine refreshes from its previous
-            // snapshot (dense rows patched in place, symbols possibly
-            // compacted), never from scratch.
-            for (_, engine) in engines.iter_mut() {
-                *engine = engine.refreshed(&model);
-            }
-            let [(_, sparse), (_, dense), (_, hybrid)] = &engines;
-            assert_eq!(
-                sparse.canonical_form(),
-                dense.canonical_form(),
-                "sparse/dense canonical forms diverged (case {case}, step {step})"
-            );
-            assert_eq!(
-                sparse.canonical_form(),
-                hybrid.canonical_form(),
-                "sparse/hybrid canonical forms diverged (case {case}, step {step})"
-            );
+            // Mid-stream hot-swap: the engine refreshes from its previous
+            // snapshot, never from scratch.
+            engine = engine.refreshed(&model);
 
             for _ in 0..30 {
                 let probe = if rng.gen_bool(0.8) {
@@ -533,28 +501,18 @@ fn dense_sparse_hybrid_encodings_are_byte_identical() {
                 };
                 let tokens = pre.tokens_of(&probe);
                 let tree = match_tokens(&model, &tokens);
-                for ((name, engine), cache) in engines.iter().zip(caches.iter_mut()) {
-                    assert_eq!(
-                        engine.match_tokens(&tokens),
-                        tree,
-                        "{name} diverged from tree walk (case {case}, step {step}, {probe:?})"
-                    );
-                    let cached = cache.match_record(engine, &pre, &mut scratch, &probe);
-                    assert_eq!(
-                        cached, tree,
-                        "{name} hashed cache diverged (case {case}, step {step}, {probe:?})"
-                    );
-                }
+                assert_eq!(
+                    engine.match_tokens(&tokens),
+                    tree,
+                    "automaton diverged from tree walk (case {case}, step {step}, {probe:?})"
+                );
+                let cached = cache.match_record(&engine, &pre, &mut scratch, &probe);
+                assert_eq!(
+                    cached, tree,
+                    "hashed cache diverged (case {case}, step {step}, {probe:?})"
+                );
             }
         }
-        // The hybrid engine actually exercised the dense path somewhere in the
-        // run (otherwise this test silently degrades to sparse-vs-sparse).
-        let [(_, _), (_, dense), (_, hybrid)] = &engines;
-        assert!(dense.dense_states() > 0, "dense engine granted no rows");
-        assert!(
-            hybrid.dense_states() <= dense.dense_states(),
-            "hybrid granted more rows than dense"
-        );
     }
 }
 

@@ -5,11 +5,11 @@
 //! Window distributions come from the planned query path: callers either pass
 //! precomputed `(template, count)` distributions (as returned by
 //! `template_distribution`) to [`AnomalyDetector::detect`] or hand two
-//! [`QuerySnapshot`]s to [`AnomalyDetector::detect_snapshots`], which aggregates
-//! per-node postings up the saturation ladder — O(templates) per window, never a
-//! record scan.
+//! [`QuerySnapshot`]s to [`AnomalyDetector::detect_snapshots`], which runs a
+//! distribution plan on each — postings aggregated up the saturation ladder,
+//! O(templates) per window, never a record scan.
 
-use crate::query::QuerySnapshot;
+use crate::query::{snapshot_distribution, QuerySnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -137,8 +137,8 @@ impl AnomalyDetector {
         threshold: f64,
     ) -> Vec<AnomalyReport> {
         self.detect(
-            &baseline.template_distribution(threshold),
-            &current.template_distribution(threshold),
+            &snapshot_distribution(baseline, threshold),
+            &snapshot_distribution(current, threshold),
         )
     }
 
@@ -234,8 +234,8 @@ mod tests {
         assert_eq!(
             reports,
             detector.detect(
-                &baseline.template_distribution(0.9),
-                &current.template_distribution(0.9)
+                &snapshot_distribution(&baseline, 0.9),
+                &snapshot_distribution(&current, 0.9)
             )
         );
         assert!(

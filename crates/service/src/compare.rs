@@ -5,7 +5,7 @@
 //! aggregates per-node postings up the saturation ladder), so comparing two windows
 //! of a 100k-record topic costs O(templates), not O(records).
 
-use crate::query::QuerySnapshot;
+use crate::query::{snapshot_distribution, QuerySnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -65,17 +65,18 @@ pub fn compare_windows(
     shifts
 }
 
-/// Compare two topic query snapshots at the given saturation threshold: both window
-/// distributions are computed through the indexed path (postings aggregated up the
-/// saturation ladder — no record scan) and fed to [`compare_windows`].
+/// Compare two topic query snapshots at the given saturation threshold: a
+/// distribution plan runs on each through [`QuerySnapshot::execute`] (postings
+/// aggregated up the saturation ladder — no record scan) and the two results are
+/// fed to [`compare_windows`].
 pub fn compare_snapshots(
     before: &QuerySnapshot,
     after: &QuerySnapshot,
     threshold: f64,
 ) -> Vec<DistributionShift> {
     compare_windows(
-        &before.template_distribution(threshold),
-        &after.template_distribution(threshold),
+        &snapshot_distribution(before, threshold),
+        &snapshot_distribution(after, threshold),
     )
 }
 
@@ -147,8 +148,8 @@ mod tests {
         assert_eq!(
             shifts,
             compare_windows(
-                &before.template_distribution(0.9),
-                &after.template_distribution(0.9)
+                &snapshot_distribution(&before, 0.9),
+                &snapshot_distribution(&after, 0.9)
             )
         );
         // The new family gained share; something in the old family lost share.

@@ -76,7 +76,7 @@ pub use library::TemplateLibrary;
 pub use manager::{FleetStats, ServiceManager, TenantDefaults};
 pub use matcher_pool::{BatchResult, IdBatchResult, MatchId, MatcherPool, StreamRecord};
 pub use query::{
-    QueryCache, QueryEngine, QueryIndex, QueryOptions, QuerySnapshot, QueryValue, TemplateGroup,
+    QueryCache, QueryEngine, QueryIndex, QuerySnapshot, QueryValue, RecordLevelPlan, TemplateGroup,
 };
 pub use storage::{RecoveredTopic, StorageConfig, TopicMeta, TopicStorage};
 pub use store::{ModelStore, SnapshotInfo, SnapshotKind};

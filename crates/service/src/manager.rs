@@ -7,7 +7,7 @@
 //! per-tenant defaults, and exposes fleet-wide statistics of the kind Table 5 reports.
 
 use crate::ingest::IngestConfig;
-use crate::query::{QueryOptions, QuerySnapshot, QueryValue, TemplateGroup};
+use crate::query::QueryValue;
 use crate::storage::{self, RetentionOutcome, StorageConfig, TopicStorage};
 use crate::topic::{
     IngestOutcome, LogTopic, MaintenancePolicy, StreamOutcome, StreamOverloaded, TopicConfig,
@@ -259,26 +259,13 @@ impl ServiceManager {
         topic.ingest_stream_bounded(records, &config, wait)
     }
 
-    /// Query a tenant's topic: group its stored records by template at the requested
-    /// precision through the indexed path (postings + saturation ladder + LRU cache).
-    /// Returns `None` when the topic does not exist. Takes `&self` — queries never
-    /// block or mutate topic state, and many can run side by side; the result is the
-    /// cache-shared `Arc`, so warm queries copy nothing.
-    pub fn query(
-        &self,
-        tenant: &str,
-        topic: &str,
-        options: QueryOptions,
-    ) -> Option<std::sync::Arc<Vec<TemplateGroup>>> {
-        self.topic(tenant, topic).map(|t| t.query(options))
-    }
-
-    /// Execute a composed [`QueryPlan`] against a tenant's topic through the
-    /// planned push-down path (cached). Returns `None` when the topic does not
-    /// exist. This is the full query surface — predicates, time windows,
-    /// top-k, distribution, count-distinct — of which [`ServiceManager::query`]
-    /// and [`ServiceManager::template_distribution`] are fixed-shape special
-    /// cases.
+    /// Execute a composed [`QueryPlan`] against a tenant's topic through
+    /// [`LogTopic::execute`] (planned push-down path, cached). Returns `None`
+    /// when the topic does not exist. Takes `&self` — queries never mutate
+    /// topic state, and a warm hit shares the cached result instead of copying
+    /// it. This is the full query surface — predicates, time windows, top-k,
+    /// distribution, count-distinct — of which
+    /// [`ServiceManager::template_distribution`] is a fixed-shape special case.
     pub fn execute(&self, tenant: &str, topic: &str, plan: &QueryPlan) -> Option<QueryValue> {
         self.topic(tenant, topic).map(|t| t.execute(plan))
     }
@@ -295,13 +282,6 @@ impl ServiceManager {
     ) -> Option<Vec<(String, u64)>> {
         self.topic(tenant, topic)
             .map(|t| t.template_distribution(threshold))
-    }
-
-    /// An immutable query snapshot of a tenant's topic (model + ladder + postings
-    /// behind `Arc`s): hand it to worker threads and keep ingesting — the topic
-    /// copies-on-write whatever the snapshot still shares.
-    pub fn query_snapshot(&self, tenant: &str, topic: &str) -> Option<QuerySnapshot> {
-        self.topic(tenant, topic).map(|t| t.query_snapshot())
     }
 
     /// Per-topic statistics, keyed by `(tenant, topic)`.
@@ -413,37 +393,44 @@ mod tests {
         assert!(manager.topic("nobody", "nothing").is_none());
     }
 
+    fn group_by() -> QueryPlan {
+        bytebrain::Query::group_by().plan().expect("valid plan")
+    }
+
     #[test]
     fn query_entry_point_serves_indexed_groups() {
         let mut manager = ServiceManager::new();
         manager.ingest("a", "web", &batch("web", 300));
-        let groups = manager
-            .query("a", "web", QueryOptions::default())
+        let value = manager
+            .execute("a", "web", &group_by())
             .expect("topic exists");
-        let covered: usize = groups.iter().map(|g| g.count()).sum();
+        let covered: usize = value.groups().unwrap().iter().map(|g| g.count()).sum();
         assert_eq!(covered, 300);
         let distribution = manager
             .template_distribution("a", "web", 0.9)
             .expect("topic exists");
         assert_eq!(distribution.iter().map(|(_, c)| *c).sum::<u64>(), 300);
+        assert!(manager.execute("nobody", "nothing", &group_by()).is_none());
         assert!(manager
-            .query("nobody", "nothing", QueryOptions::default())
+            .template_distribution("nobody", "nothing", 0.9)
             .is_none());
-        assert!(manager.query_snapshot("nobody", "nothing").is_none());
     }
 
     #[test]
     fn snapshot_queries_run_concurrently_with_ingestion() {
         let mut manager = ServiceManager::new();
         manager.ingest("a", "web", &batch("web", 400));
-        let snapshot = manager.query_snapshot("a", "web").expect("topic exists");
-        let baseline = snapshot.group_by_template(QueryOptions::default());
+        let snapshot = manager
+            .topic("a", "web")
+            .expect("topic exists")
+            .query_snapshot();
+        let baseline = snapshot.execute(&group_by()).expect("node-only plan");
         std::thread::scope(|scope| {
             // Queries serve from the immutable snapshot on worker threads...
             let workers: Vec<_> = (0..4)
                 .map(|_| {
                     let snapshot = snapshot.clone();
-                    scope.spawn(move || snapshot.group_by_template(QueryOptions::default()))
+                    scope.spawn(move || snapshot.execute(&group_by()).expect("node-only plan"))
                 })
                 .collect();
             // ...while the manager keeps ingesting into the same topic.
@@ -455,8 +442,9 @@ mod tests {
         });
         // The live topic sees the new records; the old snapshot still does not.
         let live = manager
-            .query("a", "web", QueryOptions::default())
+            .execute("a", "web", &group_by())
             .expect("topic exists");
+        let live = live.groups().unwrap();
         assert_eq!(live.iter().map(|g| g.count()).sum::<usize>(), 600);
         assert_eq!(snapshot.records(), 400);
     }

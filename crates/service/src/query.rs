@@ -1,34 +1,42 @@
-//! The query subsystem (§3 "Query", §6): one planned `execute` path fed by
-//! thin AST constructors.
+//! The query subsystem (§3 "Query", §6): one planned executor fed by
+//! [`bytebrain::Query`] ASTs.
 //!
-//! Every public query entry point — [`LogTopic::query`],
-//! [`LogTopic::template_distribution`], the anomaly and comparison features,
-//! the [`crate::manager::ServiceManager`] forwarding methods — builds a
-//! [`bytebrain::Query`] AST, plans it ([`QueryPlan`]) and hands the plan to
-//! the single [`LogTopic::execute`] entry point. Two executors exist and are
-//! kept byte-identical by the differential suite:
+//! Every query is a [`QueryPlan`] (built by [`bytebrain::Query::plan`]) run
+//! through one of these entry points:
 //!
-//! * the **planned path** (`run_plan`, the serving path): template
-//!   predicates are decided once per resolved node against the live node set,
-//!   threshold resolution goes through [`SaturationLadder::resolve_batch`],
-//!   and grouping streams over per-node postings ([`QueryIndex`]) so a
-//!   predicate-free query touches one posting list per *template* instead of
-//!   one entry per *record*. Record-level predicates (variable filters, time
-//!   windows) consult per-segment column summaries first
-//!   ([`crate::storage::SegmentSummary`]): segments whose summaries rule out
-//!   a required conjunct are skipped wholesale before any record is touched.
-//!   Results are memoized in an LRU [`QueryCache`] keyed by the canonical
-//!   plan fingerprint plus `(model version, topic generation, record count)`;
-//! * the **scan oracle** ([`QueryEngine::execute_scan`]): the naive
-//!   per-record ancestor walk with per-record predicate evaluation, retained
-//!   purely as the differential reference.
+//! * [`LogTopic::execute`] — the serving path: the planned executor with the
+//!   LRU [`QueryCache`] in front. [`crate::manager::ServiceManager::execute`]
+//!   forwards to it, and [`LogTopic::template_distribution`] is the one
+//!   fixed-shape constructor over it;
+//! * [`QuerySnapshot::execute`] — the same executor over an immutable
+//!   snapshot, for node-only plans served from other threads (record-level
+//!   plans return [`RecordLevelPlan`]);
+//! * [`QueryEngine::execute`] and [`QueryEngine::execute_scan`] — the
+//!   uncached planned run and the scan oracle, kept for the differential
+//!   suites and benchmarks.
+//!
+//! Two executors exist and are kept byte-identical by the differential suite:
+//!
+//! * the **planned path** (`run_plan`): template predicates are decided once
+//!   per resolved node against the live node set, threshold resolution goes
+//!   through [`SaturationLadder::resolve_batch`], and grouping streams over
+//!   per-node postings ([`QueryIndex`]) so a predicate-free query touches one
+//!   posting list per *template* instead of one entry per *record*.
+//!   Record-level predicates (variable filters, time windows) consult
+//!   per-segment column summaries first ([`crate::storage::SegmentSummary`]):
+//!   segments whose summaries rule out a required conjunct are skipped
+//!   wholesale before any record is touched. [`LogTopic::execute`] memoizes
+//!   results keyed by the canonical plan fingerprint plus `(model version,
+//!   topic generation, record count)`;
+//! * the **scan oracle** (`scan_plan`): the naive per-record ancestor walk
+//!   with per-record predicate evaluation, retained purely as the
+//!   differential reference.
 //!
 //! Both paths resolve templates through the same core semantics: retired
 //! nodes are skipped to the nearest live ancestor, the full chain is scanned
-//! for the coarsest qualifying ancestor, and thresholds are sanitized
-//! identically — clamped by [`bytebrain::clamp_threshold`] and (for the
-//! options-based entry points) snapped to the slider's 1/1000 grid. When
-//! presentation merging (§7) combines several nodes under one
+//! for the coarsest qualifying ancestor, and the threshold is the plan's,
+//! clamped once by [`bytebrain::clamp_threshold`] when the plan is built.
+//! When presentation merging (§7) combines several nodes under one
 //! merged-wildcard text, the reported representative node is deterministic —
 //! the member with the largest record count, ties broken by the smallest
 //! [`NodeId`] — and the reported saturation is the minimum across the merged
@@ -37,80 +45,48 @@
 use crate::topic::{variables_of, LogTopic, StoredRecord};
 use bytebrain::query::ast::Query;
 use bytebrain::query::plan::{CompiledPredicate, PlanOutput, QueryPlan, RecordView};
-use bytebrain::query::{
-    clamp_threshold, merge_consecutive_wildcards, resolve_with_threshold, SaturationLadder,
-};
+use bytebrain::query::{merge_consecutive_wildcards, resolve_with_threshold, SaturationLadder};
 use bytebrain::{NodeId, ParserModel};
 use logtok::Preprocessor;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-/// Options controlling one options-based (predicate-free) query.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryOptions {
-    /// Saturation threshold: higher values request more precise templates. This is the
-    /// value the production UI exposes as an interactive slider. NaN falls back to the
-    /// default (0.9); values outside `[0, 1]` are clamped, and queries snap the value
-    /// to the slider's 1/1000 grid.
-    pub saturation_threshold: f64,
-    /// Maximum number of template groups to return (largest first); `usize::MAX` for all.
-    pub limit: usize,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        QueryOptions {
-            saturation_threshold: bytebrain::DEFAULT_THRESHOLD,
-            limit: usize::MAX,
-        }
-    }
-}
-
-/// Sanitize a threshold for the service query surface: the single core clamp
-/// ([`bytebrain::clamp_threshold`]: NaN → default, out-of-range → clamped) plus a snap
-/// to the slider's 1/1000 grid — so the canonical plan (whose fingerprint keys the
-/// query cache) always describes exactly the threshold the cached result was computed
-/// at, and the planned and scan paths quantize identically. Core resolution called
-/// directly (outside this module) keeps exact thresholds.
-fn sanitize_threshold(threshold: f64) -> f64 {
-    (clamp_threshold(threshold) * 1_000.0).round() / 1_000.0
-}
-
-impl QueryOptions {
-    /// The options with the threshold sanitized: NaN → default, out-of-range →
-    /// clamped, and snapped to the service's 1/1000 slider grid (both query paths and
-    /// the cache key quantize through this one function).
-    pub fn sanitized(mut self) -> Self {
-        self.saturation_threshold = sanitize_threshold(self.saturation_threshold);
-        self
-    }
-
-    /// The plan this options struct describes: a predicate-free `group_by`
-    /// (or `top_k` when a limit is set) at the sanitized threshold. This is
-    /// the thin-constructor bridge from the legacy options surface onto the
-    /// AST path.
-    pub fn to_plan(self) -> QueryPlan {
-        let sanitized = self.sanitized();
-        let query = if sanitized.limit == usize::MAX {
-            Query::group_by()
-        } else {
-            Query::top_k(sanitized.limit)
-        };
-        query
-            .at_threshold(sanitized.saturation_threshold)
-            .plan()
-            .expect("predicate-free queries always plan")
-    }
-}
-
-/// Build the (cached) distribution plan for a raw threshold.
-fn distribution_plan(threshold: f64) -> QueryPlan {
+/// The distribution plan at `threshold` (clamped by the planner like every
+/// other plan).
+pub(crate) fn distribution_plan(threshold: f64) -> QueryPlan {
     Query::distribution()
-        .at_threshold(sanitize_threshold(threshold))
+        .at_threshold(threshold)
         .plan()
         .expect("predicate-free queries always plan")
 }
+
+/// The `(template, count)` distribution of a snapshot at `threshold`: a
+/// distribution plan run through [`QuerySnapshot::execute`]. The anomaly and
+/// comparison features compare two windows this way.
+pub(crate) fn snapshot_distribution(
+    snapshot: &QuerySnapshot,
+    threshold: f64,
+) -> Arc<Vec<(String, u64)>> {
+    match snapshot.execute(&distribution_plan(threshold)) {
+        Ok(QueryValue::Distribution(counts)) => counts,
+        _ => unreachable!("a distribution plan is node-only and yields a distribution"),
+    }
+}
+
+/// A record-level plan (variable filter or time window) was sent to a
+/// [`QuerySnapshot`], which carries postings but no record store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordLevelPlan;
+
+impl fmt::Display for RecordLevelPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("record-level predicates need the topic's record store, not a snapshot")
+    }
+}
+
+impl std::error::Error for RecordLevelPlan {}
 
 /// One group of query results: a template and the records it covers.
 #[derive(Debug, Clone, PartialEq)]
@@ -525,31 +501,6 @@ fn scan_plan(
     finish(model, groups, plan)
 }
 
-/// Options-based planned grouping (used by snapshots and module tests).
-fn indexed_groups(
-    model: &ParserModel,
-    ladder: &SaturationLadder,
-    index: &QueryIndex,
-    options: QueryOptions,
-) -> Vec<TemplateGroup> {
-    match run_plan(model, ladder, index, None, &options.to_plan()) {
-        QueryValue::Groups(groups) => Arc::try_unwrap(groups).unwrap_or_else(|arc| (*arc).clone()),
-        _ => unreachable!("groups plan yields groups"),
-    }
-}
-
-/// Options-based scan grouping (the predicate-free oracle surface).
-fn scan_groups(
-    model: &ParserModel,
-    records: &[StoredRecord],
-    options: QueryOptions,
-) -> Vec<TemplateGroup> {
-    match scan_plan(model, None, records, 0, &options.to_plan()) {
-        QueryValue::Groups(groups) => Arc::try_unwrap(groups).unwrap_or_else(|arc| (*arc).clone()),
-        _ => unreachable!("groups plan yields groups"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Query cache
 // ---------------------------------------------------------------------------
@@ -691,28 +642,15 @@ impl QuerySnapshot {
         self.index.assigned_records()
     }
 
-    /// Group the snapshot's records by template at the requested precision (planned
-    /// path, uncached — snapshots are cheap and short-lived).
-    pub fn group_by_template(&self, options: QueryOptions) -> Vec<TemplateGroup> {
-        indexed_groups(&self.model, &self.ladder, &self.index, options)
-    }
-
-    /// Distribution of record counts per template at the requested precision:
-    /// deterministic `(template, count)` pairs sorted by count descending then
-    /// template ascending.
-    pub fn template_distribution(&self, threshold: f64) -> Vec<(String, u64)> {
-        match run_plan(
-            &self.model,
-            &self.ladder,
-            &self.index,
-            None,
-            &distribution_plan(threshold),
-        ) {
-            QueryValue::Distribution(counts) => {
-                Arc::try_unwrap(counts).unwrap_or_else(|arc| (*arc).clone())
-            }
-            _ => unreachable!("distribution plan yields a distribution"),
+    /// Execute a node-only plan against the snapshot (planned path, uncached —
+    /// snapshots are cheap and short-lived). Returns [`RecordLevelPlan`] for a
+    /// plan with variable or time-window predicates, which need the topic's
+    /// record store.
+    pub fn execute(&self, plan: &QueryPlan) -> Result<QueryValue, RecordLevelPlan> {
+        if !plan.is_node_only() {
+            return Err(RecordLevelPlan);
         }
+        Ok(run_plan(&self.model, &self.ladder, &self.index, None, plan))
     }
 }
 
@@ -760,29 +698,6 @@ impl<'a> QueryEngine<'a> {
             plan,
         )
     }
-
-    /// Group all stored records by template at the requested precision, via the
-    /// planned path (postings aggregated up the saturation ladder, LRU-cached).
-    /// Materialises an owned copy of the result; the serving path
-    /// ([`LogTopic::query`] / `ServiceManager::query`) hands out the cache-shared
-    /// `Arc` instead.
-    pub fn group_by_template(&self, options: QueryOptions) -> Vec<TemplateGroup> {
-        self.topic.query(options).as_ref().clone()
-    }
-
-    /// The retained scan reference for the options surface: per-record ancestor
-    /// walks over the whole record store. Byte-identical to
-    /// [`QueryEngine::group_by_template`] (the differential suite enforces it).
-    pub fn group_by_template_scan(&self, options: QueryOptions) -> Vec<TemplateGroup> {
-        scan_groups(self.topic.model(), self.topic.records(), options)
-    }
-
-    /// Distribution of record counts per template at the requested precision
-    /// (planned path): deterministic sorted `(template, count)` pairs. Used by
-    /// the comparison and anomaly-detection features.
-    pub fn template_distribution(&self, threshold: f64) -> Vec<(String, u64)> {
-        self.topic.template_distribution(threshold)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -790,10 +705,8 @@ impl<'a> QueryEngine<'a> {
 // ---------------------------------------------------------------------------
 
 impl LogTopic {
-    /// **The** query entry point: execute a normalized [`QueryPlan`] through
-    /// the planned push-down path with the LRU cache in front. Every other
-    /// query method on the topic, engine, and manager is a thin AST
-    /// constructor over this.
+    /// **The** serving query entry point: execute a normalized [`QueryPlan`]
+    /// through the planned push-down path with the LRU cache in front.
     ///
     /// The cache key is `(model version, topic generation, record count,
     /// canonical plan fingerprint)`; a warm hit is a reference-count bump on
@@ -818,18 +731,6 @@ impl LogTopic {
         );
         self.query_cache().put(key, value.clone());
         value
-    }
-
-    /// Group all stored records by template at the requested precision. Thin
-    /// constructor: builds a predicate-free `group_by`/`top_k` plan and runs it
-    /// through [`LogTopic::execute`]. The result is shared via `Arc`: a
-    /// warm-cache query is a reference-count bump, not a copy of the member
-    /// index lists.
-    pub fn query(&self, options: QueryOptions) -> Arc<Vec<TemplateGroup>> {
-        match self.execute(&options.to_plan()) {
-            QueryValue::Groups(groups) => groups,
-            _ => unreachable!("groups plan yields groups"),
-        }
     }
 
     /// Distribution of record counts per template at the requested precision:
@@ -884,11 +785,27 @@ mod tests {
         topic
     }
 
+    fn plan_of(query: Query, threshold: f64) -> QueryPlan {
+        query.at_threshold(threshold).plan().unwrap()
+    }
+
+    /// Predicate-free grouping at `threshold` through the serving path.
+    fn groups_at(topic: &LogTopic, query: Query, threshold: f64) -> Arc<Vec<TemplateGroup>> {
+        topic
+            .execute(&plan_of(query, threshold))
+            .groups()
+            .unwrap()
+            .clone()
+    }
+
+    fn groups_of(value: QueryValue) -> Vec<TemplateGroup> {
+        value.groups().unwrap().as_ref().clone()
+    }
+
     #[test]
     fn grouping_covers_all_assigned_records() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
-        let groups = engine.group_by_template(QueryOptions::default());
+        let groups = groups_at(&topic, Query::group_by(), bytebrain::DEFAULT_THRESHOLD);
         let covered: usize = groups.iter().map(|g| g.count()).sum();
         assert_eq!(covered, topic.records().len());
         assert!(!groups.is_empty());
@@ -897,7 +814,7 @@ mod tests {
     #[test]
     fn groups_are_sorted_by_size() {
         let topic = topic_with_data();
-        let groups = QueryEngine::new(&topic).group_by_template(QueryOptions::default());
+        let groups = groups_at(&topic, Query::group_by(), bytebrain::DEFAULT_THRESHOLD);
         for pair in groups.windows(2) {
             assert!(pair[0].count() >= pair[1].count());
         }
@@ -906,33 +823,22 @@ mod tests {
     #[test]
     fn lower_threshold_gives_coarser_grouping() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
-        let fine = engine.group_by_template(QueryOptions {
-            saturation_threshold: 0.95,
-            limit: usize::MAX,
-        });
-        let coarse = engine.group_by_template(QueryOptions {
-            saturation_threshold: 0.05,
-            limit: usize::MAX,
-        });
+        let fine = groups_at(&topic, Query::group_by(), 0.95);
+        let coarse = groups_at(&topic, Query::group_by(), 0.05);
         assert!(coarse.len() <= fine.len());
     }
 
     #[test]
     fn limit_truncates_output() {
         let topic = topic_with_data();
-        let groups = QueryEngine::new(&topic).group_by_template(QueryOptions {
-            saturation_threshold: 0.9,
-            limit: 2,
-        });
+        let groups = groups_at(&topic, Query::top_k(2), 0.9);
         assert!(groups.len() <= 2);
     }
 
     #[test]
     fn distribution_counts_match_groups() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
-        let distribution = engine.template_distribution(0.9);
+        let distribution = topic.template_distribution(0.9);
         let total: u64 = distribution.iter().map(|(_, count)| count).sum();
         assert_eq!(total, topic.records().len() as u64);
     }
@@ -945,17 +851,14 @@ mod tests {
         let topic = topic_with_data();
         let engine = QueryEngine::new(&topic);
         for threshold in [0.0, 0.5, 0.9, 1.0] {
-            let planned = engine.template_distribution(threshold);
+            let planned = topic.template_distribution(threshold);
             for pair in planned.windows(2) {
                 assert!(
                     pair[0].1 > pair[1].1 || (pair[0].1 == pair[1].1 && pair[0].0 < pair[1].0),
                     "distribution must sort by count desc then template asc: {pair:?}"
                 );
             }
-            let plan = Query::distribution()
-                .at_threshold(threshold)
-                .plan()
-                .unwrap();
+            let plan = distribution_plan(threshold);
             let scanned = engine.execute_scan(&plan);
             assert_eq!(
                 QueryValue::Distribution(Arc::new(planned.clone())),
@@ -963,14 +866,14 @@ mod tests {
                 "planned and scan distributions diverged at threshold {threshold}"
             );
             // And the order itself is reproducible run to run.
-            assert_eq!(planned, engine.template_distribution(threshold));
+            assert_eq!(planned, topic.template_distribution(threshold));
         }
     }
 
     #[test]
     fn templates_contain_wildcards_for_variables() {
         let topic = topic_with_data();
-        let groups = QueryEngine::new(&topic).group_by_template(QueryOptions::default());
+        let groups = groups_at(&topic, Query::group_by(), bytebrain::DEFAULT_THRESHOLD);
         let login_group = groups
             .iter()
             .find(|g| g.template.contains("logged in"))
@@ -985,13 +888,10 @@ mod tests {
         let topic = topic_with_data();
         let engine = QueryEngine::new(&topic);
         for threshold in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0, f64::NAN, -1.0, 2.0] {
-            let options = QueryOptions {
-                saturation_threshold: threshold,
-                limit: usize::MAX,
-            };
+            let plan = plan_of(Query::group_by(), threshold);
             assert_eq!(
-                engine.group_by_template(options),
-                engine.group_by_template_scan(options),
+                topic.execute(&plan),
+                engine.execute_scan(&plan),
                 "indexed and scan paths diverged at threshold {threshold}"
             );
         }
@@ -1036,7 +936,7 @@ mod tests {
         let engine = QueryEngine::new(&topic);
         let plan = Query::count_distinct().at_threshold(0.9).plan().unwrap();
         let count = engine.execute(&plan).count().unwrap();
-        assert_eq!(count, engine.template_distribution(0.9).len() as u64);
+        assert_eq!(count, topic.template_distribution(0.9).len() as u64);
         assert!(count > 0);
     }
 
@@ -1044,27 +944,47 @@ mod tests {
     fn snapshot_serves_identical_results() {
         let topic = topic_with_data();
         let snapshot = topic.query_snapshot();
-        let options = QueryOptions::default();
-        assert_eq!(
-            snapshot.group_by_template(options),
-            *topic.query(options),
-            "snapshot diverged from the live topic"
-        );
+        for plan in [
+            plan_of(Query::group_by(), bytebrain::DEFAULT_THRESHOLD),
+            distribution_plan(0.9),
+        ] {
+            assert_eq!(
+                snapshot.execute(&plan),
+                Ok(topic.execute(&plan)),
+                "snapshot diverged from the live topic"
+            );
+        }
         assert_eq!(snapshot.records(), topic.records().len());
         assert_eq!(snapshot.version(), topic.model_version());
+    }
+
+    /// Snapshots carry no record store: a record-level plan is a typed
+    /// error, not a panic, while a node-only filter still runs.
+    #[test]
+    fn snapshot_rejects_record_level_plans() {
+        let topic = topic_with_data();
+        let snapshot = topic.query_snapshot();
+        let by_value = plan_of(
+            Query::group_by().filter(Predicate::variable_equals("u3")),
+            0.9,
+        );
+        assert_eq!(snapshot.execute(&by_value), Err(RecordLevelPlan));
+        let by_template = plan_of(
+            Query::group_by().filter(Predicate::template_matches("logged")),
+            0.9,
+        );
         assert_eq!(
-            snapshot.template_distribution(0.9),
-            topic.template_distribution(0.9)
+            snapshot.execute(&by_template),
+            Ok(topic.execute(&by_template))
         );
     }
 
     #[test]
     fn query_cache_hits_on_repeat_and_misses_after_ingest() {
         let mut topic = topic_with_data();
-        let options = QueryOptions::default();
-        let first = topic.query(options);
+        let first = groups_at(&topic, Query::group_by(), bytebrain::DEFAULT_THRESHOLD);
         let (hits_before, _) = topic.query_cache_stats();
-        let second = topic.query(options);
+        let second = groups_at(&topic, Query::group_by(), bytebrain::DEFAULT_THRESHOLD);
         let (hits_after, _) = topic.query_cache_stats();
         assert_eq!(first, second);
         assert!(
@@ -1078,7 +998,7 @@ mod tests {
         );
         // New records change the key: the next query recomputes.
         topic.ingest(&["user u1 logged in from 10.0.0.9".to_string()]);
-        let third = topic.query(options);
+        let third = groups_at(&topic, Query::group_by(), bytebrain::DEFAULT_THRESHOLD);
         let (_, misses) = topic.query_cache_stats();
         assert!(misses >= 2);
         assert_eq!(
@@ -1134,6 +1054,21 @@ mod tests {
             hits_end,
             hits_mid + 1,
             "commuted plan must hit the same entry"
+        );
+        // Two thresholds that share a 1/1000 stop are still two plans: two
+        // keys, two computations, and neither result is served for the other.
+        let engine = QueryEngine::new(&topic);
+        let below = distribution_plan(0.8995);
+        let above = distribution_plan(0.9001);
+        assert_ne!(below.fingerprint(), above.fingerprint());
+        let (_, misses_before) = topic.query_cache_stats();
+        assert_eq!(topic.execute(&below), engine.execute(&below));
+        assert_eq!(topic.execute(&above), engine.execute(&above));
+        let (_, misses_after) = topic.query_cache_stats();
+        assert_eq!(
+            misses_after,
+            misses_before + 2,
+            "each threshold must compute its own entry"
         );
     }
 
@@ -1222,13 +1157,10 @@ mod tests {
             index.assign(r.template.unwrap(), idx);
         }
 
-        let options = QueryOptions {
-            saturation_threshold: 0.8,
-            limit: usize::MAX,
-        };
+        let plan = plan_of(Query::group_by(), 0.8);
         for groups in [
-            indexed_groups(&model, &ladder, &index, options),
-            scan_groups(&model, &records, options),
+            groups_of(run_plan(&model, &ladder, &index, None, &plan)),
+            groups_of(scan_plan(&model, None, &records, 0, &plan)),
         ] {
             assert_eq!(groups.len(), 1, "variants must merge into one group");
             let group = &groups[0];
@@ -1280,46 +1212,30 @@ mod tests {
         for (idx, r) in records.iter().enumerate() {
             index.assign(r.template.unwrap(), idx);
         }
-        let options = QueryOptions {
-            saturation_threshold: 0.5,
-            limit: usize::MAX,
-        };
+        let plan = plan_of(Query::group_by(), 0.5);
         for groups in [
-            indexed_groups(&model, &ladder, &index, options),
-            scan_groups(&model, &records, options),
+            groups_of(run_plan(&model, &ladder, &index, None, &plan)),
+            groups_of(scan_plan(&model, None, &records, 0, &plan)),
         ] {
             assert_eq!(groups.len(), 1);
             assert_eq!(groups[0].node, a, "tie must break to the smallest node id");
         }
     }
 
-    /// The canonical plan stores the sanitized threshold, so the computed threshold
-    /// must sit exactly on the service's 1/1000 grid: a query at 0.8995 and one at
-    /// 0.9001 share a plan fingerprint *and* a computation (both snap to 0.900), and
-    /// the scan path snaps identically — no cached result can ever be served for a
-    /// threshold it was not computed at.
+    /// Regression: the fixed-shape distribution and the same threshold sent as
+    /// a `Query` AST (the HTTP path) are one plan with one threshold rule. An
+    /// off-grid threshold is not snapped: at 0.8995 a root of saturation
+    /// 0.8997 qualifies, so both answer the coarse `evt` (a 1/1000 snap to
+    /// 0.900 used to answer `evt x` on one path only).
     #[test]
-    fn cache_key_and_computation_agree_on_the_quantized_threshold() {
-        assert_eq!(sanitize_threshold(0.8995), 0.9);
-        assert_eq!(sanitize_threshold(0.9001), 0.9);
-        assert_eq!(sanitize_threshold(0.89949), 0.899);
+    fn off_grid_thresholds_plan_and_resolve_like_the_ast() {
+        let threshold = 0.8995;
+        let ast = plan_of(Query::distribution(), threshold);
         assert_eq!(
-            QueryOptions {
-                saturation_threshold: 0.8995,
-                limit: usize::MAX
-            }
-            .to_plan()
-            .fingerprint(),
-            QueryOptions {
-                saturation_threshold: 0.9001,
-                limit: usize::MAX
-            }
-            .to_plan()
-            .fingerprint(),
-            "thresholds on the same grid stop must share a plan"
+            distribution_plan(threshold).fingerprint(),
+            ast.fingerprint(),
+            "the fixed-shape constructor must build the AST's plan"
         );
-        // A node whose saturation (0.8998) falls between two off-grid query
-        // thresholds: both paths must treat both thresholds as the same grid stop.
         let make = |sat: f64, text: &[&str]| TreeNode {
             id: NodeId(0),
             parent: None,
@@ -1336,8 +1252,8 @@ mod tests {
             retired: false,
         };
         let mut model = ParserModel::new();
-        let root = model.push_node(make(0.5, &["evt"]));
-        let leaf = model.push_node(make(0.8998, &["evt", "x"]));
+        let root = model.push_node(make(0.8997, &["evt"]));
+        let leaf = model.push_node(make(0.95, &["evt", "x"]));
         model.add_root(root);
         model.attach_child(root, leaf);
         model.rebuild_match_order();
@@ -1348,18 +1264,10 @@ mod tests {
         }];
         let mut index = QueryIndex::new();
         index.assign(leaf, 0);
-        for threshold in [0.8995, 0.9001] {
-            let options = QueryOptions {
-                saturation_threshold: threshold,
-                limit: usize::MAX,
-            };
-            let indexed = indexed_groups(&model, &ladder, &index, options);
-            assert_eq!(indexed, scan_groups(&model, &records, options));
-            // 0.8998 < 0.900: the leaf does not qualify at the snapped threshold.
-            assert_eq!(
-                indexed[0].node, leaf,
-                "nothing qualifies: most precise live"
-            );
+        let expected = QueryValue::Distribution(Arc::new(vec![("evt".to_string(), 1)]));
+        for plan in [distribution_plan(threshold), ast] {
+            assert_eq!(run_plan(&model, &ladder, &index, None, &plan), expected);
+            assert_eq!(scan_plan(&model, None, &records, 0, &plan), expected);
         }
     }
 
@@ -1368,41 +1276,24 @@ mod tests {
     #[test]
     fn nonsense_thresholds_are_sanitized() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
-        let default_result = engine.group_by_template(QueryOptions::default());
-        // NaN behaves exactly like the default threshold.
-        let nan_result = engine.group_by_template(QueryOptions {
-            saturation_threshold: f64::NAN,
-            limit: usize::MAX,
-        });
-        assert_eq!(nan_result, default_result);
-        // Out-of-range values clamp to the edges.
-        let negative = engine.group_by_template(QueryOptions {
-            saturation_threshold: -5.0,
-            limit: usize::MAX,
-        });
-        let zero = engine.group_by_template(QueryOptions {
-            saturation_threshold: 0.0,
-            limit: usize::MAX,
-        });
-        assert_eq!(negative, zero);
-        let huge = engine.group_by_template(QueryOptions {
-            saturation_threshold: 42.0,
-            limit: usize::MAX,
-        });
-        let one = engine.group_by_template(QueryOptions {
-            saturation_threshold: 1.0,
-            limit: usize::MAX,
-        });
-        assert_eq!(huge, one);
-        assert_eq!(
-            QueryOptions {
-                saturation_threshold: f64::NAN,
-                limit: 3
-            }
-            .sanitized()
-            .saturation_threshold,
-            bytebrain::DEFAULT_THRESHOLD
-        );
+        // NaN behaves exactly like the default threshold; out-of-range values
+        // clamp to the edges.
+        for (nonsense, sane) in [
+            (f64::NAN, bytebrain::DEFAULT_THRESHOLD),
+            (-5.0, 0.0),
+            (42.0, 1.0),
+        ] {
+            let plan = plan_of(Query::group_by(), nonsense);
+            assert_eq!(plan.threshold(), sane);
+            assert_eq!(
+                plan.fingerprint(),
+                plan_of(Query::group_by(), sane).fingerprint()
+            );
+            assert_eq!(
+                topic.execute(&plan),
+                QueryEngine::new(&topic).execute(&plan_of(Query::group_by(), sane)),
+                "threshold {nonsense} must answer like {sane}"
+            );
+        }
     }
 }

@@ -13,7 +13,7 @@
 use bytebrain::incremental::DriftConfig;
 use service::ingest::IngestConfig;
 use service::{
-    LogTopic, MaintenancePolicy, QueryOptions, ServiceManager, StorageConfig, TopicConfig,
+    LogTopic, MaintenancePolicy, ServiceManager, StorageConfig, TemplateGroup, TopicConfig,
     TopicStats,
 };
 use std::fs;
@@ -129,8 +129,17 @@ struct Expectation {
     model_json: String,
     record_count: usize,
     records: Vec<String>,
-    groups: Vec<Vec<service::TemplateGroup>>,
+    groups: Vec<Vec<TemplateGroup>>,
     distribution: Vec<(String, u64)>,
+}
+
+/// All groups at `threshold`, through the serving path (`LogTopic::execute`).
+fn groups_at(topic: &LogTopic, threshold: f64) -> Vec<TemplateGroup> {
+    let plan = bytebrain::Query::group_by()
+        .at_threshold(threshold)
+        .plan()
+        .expect("predicate-free queries always plan");
+    topic.execute(&plan).groups().expect("groups plan").to_vec()
 }
 
 fn capture(topic: &LogTopic) -> Expectation {
@@ -140,16 +149,7 @@ fn capture(topic: &LogTopic) -> Expectation {
         model_json: serde_json::to_string(topic.model()).expect("model serializes"),
         record_count: topic.records().len(),
         records: topic.records().iter().map(|r| r.record.clone()).collect(),
-        groups: THRESHOLDS
-            .iter()
-            .map(|&t| {
-                (*topic.query(QueryOptions {
-                    saturation_threshold: t,
-                    limit: usize::MAX,
-                }))
-                .clone()
-            })
-            .collect(),
+        groups: THRESHOLDS.iter().map(|&t| groups_at(topic, t)).collect(),
         distribution: topic.template_distribution(0.9),
     }
 }
@@ -178,14 +178,10 @@ fn assert_recovered(recovered: &LogTopic, expected: &Expectation, ctx: &str) {
     );
     assert_eq!(recovered.stats(), expected.stats, "{ctx}: topic stats");
     for (i, &t) in THRESHOLDS.iter().enumerate() {
-        let groups = (*recovered.query(QueryOptions {
-            saturation_threshold: t,
-            limit: usize::MAX,
-        }))
-        .clone();
         assert_eq!(
-            groups, expected.groups[i],
-            "{ctx}: group_by_template at threshold {t}"
+            groups_at(recovered, t),
+            expected.groups[i],
+            "{ctx}: groups at threshold {t}"
         );
     }
     assert_eq!(
@@ -225,13 +221,9 @@ fn durable_topic_matches_in_memory_twin() {
     assert_eq!(d.training_runs, t.training_runs);
     assert_eq!(d.maintenance_runs, t.maintenance_runs);
     for &threshold in &THRESHOLDS {
-        let options = QueryOptions {
-            saturation_threshold: threshold,
-            limit: usize::MAX,
-        };
         assert_eq!(
-            *durable.query(options),
-            *twin.query(options),
+            groups_at(&durable, threshold),
+            groups_at(&twin, threshold),
             "durable and in-memory topics must serve identical groups at {threshold}"
         );
     }
@@ -401,7 +393,7 @@ fn query_cache_generation_prevents_stale_hits_after_eviction() {
     batch.extend(auth_batch(0, 150));
     topic.ingest(&batch);
     let version_before = topic.model_version();
-    let stale = (*topic.query(QueryOptions::default())).clone();
+    let stale = groups_at(&topic, bytebrain::DEFAULT_THRESHOLD);
     assert!(!stale.is_empty());
 
     // TTL retention evicts every record; the generation must move so the old cache
@@ -426,7 +418,7 @@ fn query_cache_generation_prevents_stale_hits_after_eviction() {
     );
     assert_eq!(topic.records().len(), 300);
 
-    let fresh = (*topic.query(QueryOptions::default())).clone();
+    let fresh = groups_at(&topic, bytebrain::DEFAULT_THRESHOLD);
     assert_ne!(fresh, stale, "cache must not serve pre-eviction groups");
     let total: usize = fresh.iter().map(|g| g.count()).sum();
     assert_eq!(

@@ -5,9 +5,7 @@
 //! Run with: `cargo run --release --example anomaly_watch`
 
 use bytebrain_repro::service::library::AlertRule;
-use bytebrain_repro::service::{
-    AnomalyDetector, LogTopic, QueryEngine, TemplateLibrary, TopicConfig,
-};
+use bytebrain_repro::service::{AnomalyDetector, LogTopic, TemplateLibrary, TopicConfig};
 
 fn window(offset: usize, incident: bool) -> Vec<String> {
     let mut logs = Vec::new();
@@ -80,7 +78,7 @@ fn main() {
         vec![AlertRule::OnAppearance],
     );
     println!("\n=== fired alerts");
-    let current_distribution = QueryEngine::new(&topic).template_distribution(0.9);
+    let current_distribution = topic.template_distribution(0.9);
     for alert in library.evaluate_alerts(&current_distribution) {
         println!(
             "  [{}] rule {:?} observed {}",

@@ -4,10 +4,9 @@
 //!
 //! Run with: `cargo run --release --example cloud_topic`
 
+use bytebrain_repro::bytebrain::Query;
 use bytebrain_repro::datasets::LabeledDataset;
-use bytebrain_repro::service::{
-    compare_snapshots, LogTopic, QueryEngine, QueryOptions, TopicConfig,
-};
+use bytebrain_repro::service::{compare_snapshots, LogTopic, TopicConfig};
 
 fn main() {
     let corpus = LabeledDataset::loghub2("HDFS", 30_000);
@@ -37,15 +36,15 @@ fn main() {
         stats.last_training_seconds
     );
 
-    // Query the topic at two precisions.
-    let engine = QueryEngine::new(&topic);
+    // Query the topic at two precisions: the five largest template groups.
     for threshold in [0.3, 0.95] {
-        let groups = engine.group_by_template(QueryOptions {
-            saturation_threshold: threshold,
-            limit: 5,
-        });
+        let plan = Query::top_k(5)
+            .at_threshold(threshold)
+            .plan()
+            .expect("predicate-free queries always plan");
+        let result = topic.execute(&plan);
         println!("\ntop templates at threshold {threshold}:");
-        for group in groups {
+        for group in result.groups().expect("top-k yields groups").iter() {
             println!("  {:>7}  {}", group.count(), group.template);
         }
     }

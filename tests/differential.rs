@@ -319,12 +319,13 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
 }
 
 /// The indexed query path (postings aggregated up the saturation ladder) must return
-/// **byte-identical** `group_by_template` output to the retained per-record scan path —
+/// **byte-identical** grouping output to the retained per-record scan path —
 /// across thresholds (including pathological ones), maintenance policies, and the
 /// seeded workload matrix CI sweeps via `BYTEBRAIN_TEST_SEED`.
 #[test]
 fn indexed_query_path_is_byte_identical_to_scan_path() {
-    use bytebrain_repro::service::{QueryEngine, QueryOptions};
+    use bytebrain_repro::bytebrain::Query;
+    use bytebrain_repro::service::QueryEngine;
 
     let seed = base_seed();
     let thresholds = [
@@ -380,30 +381,28 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
         }
         let engine = QueryEngine::new(&topic);
         for &threshold in &thresholds {
-            for limit in [usize::MAX, 5] {
-                let options = QueryOptions {
-                    saturation_threshold: threshold,
-                    limit,
-                };
-                let indexed = engine.group_by_template(options);
-                let scanned = engine.group_by_template_scan(options);
+            for query in [Query::group_by(), Query::top_k(5)] {
+                let plan = query.at_threshold(threshold).plan().unwrap();
+                let limit = plan.output();
+                let indexed = topic.execute(&plan);
+                let scanned = engine.execute_scan(&plan);
                 assert_eq!(
                     indexed, scanned,
                     "indexed and scan paths diverged ({label}, threshold {threshold}, \
-                     limit {limit})"
+                     {limit:?})"
                 );
             }
             // The counts-only distribution agrees with the full grouping — and
             // comes back in the canonical deterministic order (count descending,
             // template ascending).
             let distribution = topic.template_distribution(threshold);
-            let mut from_groups: Vec<(String, u64)> = engine
-                .group_by_template(QueryOptions {
-                    saturation_threshold: threshold,
-                    limit: usize::MAX,
-                })
-                .into_iter()
-                .map(|g| (g.template, g.record_indices.len() as u64))
+            let group_by = Query::group_by().at_threshold(threshold).plan().unwrap();
+            let mut from_groups: Vec<(String, u64)> = topic
+                .execute(&group_by)
+                .groups()
+                .unwrap()
+                .iter()
+                .map(|g| (g.template.clone(), g.count() as u64))
                 .collect();
             from_groups.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             assert_eq!(
@@ -413,10 +412,10 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
         }
         // The snapshot (the concurrent-serving surface) agrees with the live topic.
         let snapshot = topic.query_snapshot();
-        let options = QueryOptions::default();
+        let group_by = Query::group_by().plan().unwrap();
         assert_eq!(
-            snapshot.group_by_template(options),
-            engine.group_by_template(options),
+            snapshot.execute(&group_by),
+            Ok(topic.execute(&group_by)),
             "snapshot diverged from the live topic ({label})"
         );
     }
